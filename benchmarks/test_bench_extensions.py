@@ -6,7 +6,7 @@ deadlines, and the staleness-guarded failover.
 """
 
 from repro._units import GB, KB, MB, MS, SEC
-from repro.errors import EBUSY
+from repro.errors import is_ebusy
 from repro.sim import Simulator
 
 
@@ -25,7 +25,7 @@ def test_vmm_extension(benchmark):
                 start = sim.now
                 result = yield mitt.deliver(rng.randrange(3),
                                             deadline_us=deadline)
-                if result is EBUSY:
+                if is_ebusy(result):
                     yield 300.0
                     yield vmm.deliver(vmm.running_vm())
                 out.append(sim.now - start)
@@ -58,7 +58,7 @@ def test_gc_extension(benchmark):
                 start = sim.now
                 result = yield mitt.allocate(
                     int(rng.uniform(64, 512)) * KB, deadline_us=5 * MS)
-                if result is EBUSY:
+                if is_ebusy(result):
                     yield 500.0
                 fast.append(sim.now - start)
                 yield 1 * MS
@@ -106,7 +106,7 @@ def test_smr_extension(benchmark):
                 result = yield os_.read(
                     0, rng.randrange(0, 900 * GB) // 4096 * 4096, 4 * KB,
                     deadline=25 * MS)
-                if result is EBUSY:
+                if is_ebusy(result):
                     rejected[0] += 1
                 else:
                     accepted.append(sim.now - start)

@@ -2,8 +2,11 @@
 
 The paper's central mechanism is the kernel returning ``EBUSY`` from
 ``read(..., slo)`` when the deadline SLO cannot be met.  We model errno-style
-results with a small sentinel class so that call sites can write
-``if result is EBUSY: failover()`` exactly like the C code in Figure 2.
+results with small falsy objects.  An EBUSY comes either as the ``EBUSY``
+sentinel or as a rich :class:`EBusy` instance (``OS.read`` returns these),
+so call sites write ``if is_ebusy(result): failover()``, the analogue of the
+C code in Figure 2; an identity check against ``EBUSY`` misses rich
+rejections.  ``EIO`` has one form, so ``result is EIO`` is exact.
 """
 
 

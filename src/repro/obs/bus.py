@@ -19,6 +19,8 @@ Determinism contract: recorded events carry only sim-clock timestamps and
 their canonical JSON lines feed the paranoid sanitizer's hash (when
 ``Simulator(paranoid=True)``), so same-seed replays must produce
 byte-identical traces — ``python -m repro.obs smoke`` is the CI gate.
+The recorder's own digest hashes exactly the lines it exports, and each
+line is encoded once: the digest is folded at export or digest time.
 """
 
 import gzip
@@ -36,6 +38,15 @@ from repro.obs.events import TraceEvent, _plain
 #: through event times, offsets, topics, and per-stream draw counts.
 VOLATILE_FIELDS = frozenset({"req", "pid"})
 
+#: The encoder behind :func:`canonical_line`, built once (same bytes as a
+#: per-call ``json.dumps(..., sort_keys=True, separators=(",", ":"))``).
+_encode_sorted = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                  default=_plain).encode
+
+#: Events encoded per write (and per digest update) by the export: big
+#: enough to amortize the call overhead, small enough to bound memory.
+_BATCH = 4096
+
 
 def canonical_line(event, volatile=VOLATILE_FIELDS):
     """Order-insensitive canonical form of one trace event.
@@ -47,8 +58,14 @@ def canonical_line(event, volatile=VOLATILE_FIELDS):
     half of the tie-order race detector (``repro.analysis.races``).
     """
     fields = {k: v for k, v in event.fields.items() if k not in volatile}
-    return event.topic + "|" + json.dumps(
-        fields, sort_keys=True, separators=(",", ":"), default=_plain)
+    return event.topic + "|" + _encode_sorted(fields)
+
+
+def _encode_lines(events):
+    """UTF-8 JSONL of ``events``: one newline-terminated line each."""
+    lines = [ev.to_json() for ev in events]
+    lines.append("")
+    return "\n".join(lines).encode()
 
 # -- session defaults (what `--trace` / `--paranoid` install) ----------------
 # Host-session configuration, not simulated state: every shard process
@@ -109,10 +126,15 @@ class NullRecorder:
 
 
 class TraceRecorder:
-    """Accumulates typed events, their canonical JSONL, and a trace hash.
+    """Accumulates typed events and a hash of their canonical JSONL.
 
+    The digest is the blake2b of exactly the bytes :meth:`write_jsonl`
+    exports, and each event is encoded once: ``record`` only keeps the
+    event, and :meth:`trace_digest` / :meth:`write_jsonl` fold the events
+    past a watermark into the hash from the lines they encode.
     ``keep_events`` can be disabled for very long runs where only the
-    digest (determinism checking) matters.  ``validate=True`` is the
+    digest (determinism checking) matters; with nothing to replay, that
+    recorder hashes each event as it is recorded.  ``validate=True`` is the
     paranoid debug mode: every recorded event is checked against its
     topic's declared schema (:mod:`repro.obs.schema`) and the first
     mismatch raises :class:`~repro.obs.schema.SchemaViolation` — the
@@ -126,6 +148,8 @@ class TraceRecorder:
         self.count = 0
         self.validate = validate
         self._hash = hashlib.blake2b(digest_size=16)
+        #: How many of ``events`` are already folded into ``_hash``.
+        self._hashed = 0
 
     def record(self, event):
         if self.validate:
@@ -133,15 +157,38 @@ class TraceRecorder:
             from repro.obs.schema import validate_event
             validate_event(event)
         self.count += 1
-        self._hash.update(event.to_json().encode())
-        self._hash.update(b"\n")
         if self.events is not None:
             self.events.append(event)
+        else:
+            self._hash.update(event.to_json().encode() + b"\n")
 
     def trace_digest(self):
         """Hash of every recorded event so far (sim-clock only, so two
         same-seed runs must agree)."""
+        if self.events is not None:
+            self._encode()
         return self._hash.hexdigest()
+
+    def _encode(self, sink=None):
+        """Encode kept events in batches, each line once.
+
+        Batches past the hash watermark are folded into the digest; with a
+        ``sink`` (an export's ``write``) every batch is handed to it too,
+        so an export re-encodes only what an earlier digest already hashed.
+        """
+        events, hashed = self.events, self._hashed
+        start = 0 if sink is not None else hashed
+        while start < len(events):
+            # Batches end at the watermark, so none straddles it.
+            limit = hashed if start < hashed else len(events)
+            stop = min(start + _BATCH, limit)
+            data = _encode_lines(events[start:stop])
+            if sink is not None:
+                sink(data)
+            if start >= hashed:
+                self._hash.update(data)
+                self._hashed = stop
+            start = stop
 
     def canonical_digest(self, volatile=VOLATILE_FIELDS):
         """Tie-insensitive digest: events grouped by timestamp, sorted
@@ -155,23 +202,24 @@ class TraceRecorder:
         if self.events is None:
             raise RuntimeError("recorder was built with keep_events=False")
         digest = hashlib.blake2b(digest_size=16)
+
+        def fold(group, time):
+            digest.update(f"t={time!r}\n".encode())
+            for line in sorted(group):
+                digest.update(line.encode())
+                digest.update(b"\n")
+
         group, group_time = [], None
-        for ev in self.events + [None]:
+        for ev in self.events:
             # Exact float equality is the grouping criterion by
             # construction: ties share the heap's timestamp bit-for-bit.
-            if ev is not None and \
-                    (group_time is None
-                     or ev.time == group_time):  # repro: allow[DET004]
-                group.append(canonical_line(ev, volatile))
-                group_time = ev.time
-                continue
-            if group:
-                digest.update(f"t={group_time!r}\n".encode())
-                for line in sorted(group):
-                    digest.update(line.encode())
-                    digest.update(b"\n")
-            if ev is not None:
-                group, group_time = [canonical_line(ev, volatile)], ev.time
+            if group and ev.time != group_time:  # repro: allow[DET004]
+                fold(group, group_time)
+                group = []
+            group.append(canonical_line(ev, volatile))
+            group_time = ev.time
+        if group:
+            fold(group, group_time)
         return digest.hexdigest()
 
     # -- consumption ------------------------------------------------------
@@ -189,17 +237,18 @@ class TraceRecorder:
     def write_jsonl(self, path):
         """Export the trace as one canonical JSON object per line.
 
-        A ``.gz`` path writes gzip-compressed JSONL (chaos/slosweep
-        traces compress ~20x); ``read_jsonl``/``iter_jsonl`` reopen it
-        transparently.  The archive embeds no wall-clock (``mtime=0``),
-        so two same-seed exports stay byte-identical.
+        A ``.gz`` path writes gzip-compressed JSONL (the faults-forensics
+        perfbench trace compresses 7.5x, 21.4 MB to 2.85 MB; level 9
+        would give 7.6x, 2.82 MB);
+        ``read_jsonl``/``iter_jsonl`` reopen it transparently.  The
+        archive embeds no wall-clock (``mtime=0``), so two same-seed
+        exports stay byte-identical.  The exported lines are the hashed
+        lines: events not yet in the digest are folded in on the way.
         """
         if self.events is None:
             raise RuntimeError("recorder was built with keep_events=False")
-        with open_trace(path, "w") as fh:
-            for ev in self.events:
-                fh.write(ev.to_json())
-                fh.write("\n")
+        with open_trace(path, "wb") as fh:
+            self._encode(fh.write)
         return len(self.events)
 
 
@@ -209,24 +258,27 @@ class TraceFormatError(Exception):
 
 
 def open_trace(path, mode="r"):
-    """Open a trace path for text IO, transparently gzipped for ``.gz``.
+    """Open a trace path with ``open(path, mode)``, gzipped for ``.gz``.
 
-    Writes pin the gzip header's mtime to 0 and omit the embedded
-    filename, so the archive bytes are a pure function of the trace
-    content — the byte-identity determinism gates (``cmp`` on two
-    same-seed exports) hold for ``.gz`` too, whatever the path.
+    A ``.gz`` path reads as text and writes as bytes (``"wb"``, what
+    :meth:`TraceRecorder.write_jsonl` passes).  Writes pin the gzip
+    header's mtime to 0 and omit the embedded filename, so the archive
+    bytes are a pure function of the trace content and of how the writes
+    are chunked — the byte-identity determinism gates (``cmp`` on two
+    same-seed exports) hold for ``.gz`` too, whatever the path.  Gzip runs
+    at level 6, zlib's default: 1% larger than level 9 in about half the
+    deflate time (DESIGN.md, "Trace plane").
     """
     if str(path).endswith(".gz"):
         if "r" in mode:
             return gzip.open(path, "rt")
-        import io
-        raw = open(path, mode + "b")
-        binary = gzip.GzipFile(filename="", mode=mode + "b", mtime=0,
-                               fileobj=raw)
+        raw = open(path, "wb")
+        binary = gzip.GzipFile(filename="", mode="wb", compresslevel=6,
+                               mtime=0, fileobj=raw)
         # GzipFile only closes files it opened itself; hand it ours so
         # close() flushes the buffered writer too.
         binary.myfileobj = raw
-        return io.TextIOWrapper(binary, encoding="utf-8")
+        return binary
     return open(path, mode)
 
 

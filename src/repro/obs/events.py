@@ -96,6 +96,12 @@ def _plain(obj):
     raise TypeError(f"trace field is not JSON-serializable: {obj!r}")
 
 
+#: The one encoder behind :meth:`TraceEvent.to_json`, built once: the
+#: output is byte-identical to ``json.dumps(..., separators=(",", ":"),
+#: default=_plain)``, which would build a fresh encoder per event.
+_encode = json.JSONEncoder(separators=(",", ":"), default=_plain).encode
+
+
 class TraceEvent:
     """One sim-time-stamped, typed event on the bus.
 
@@ -112,14 +118,11 @@ class TraceEvent:
         self.fields = fields
 
     def to_dict(self):
-        out = {"t": self.time, "topic": self.topic}
-        out.update(self.fields)
-        return out
+        return {"t": self.time, "topic": self.topic, **self.fields}
 
     def to_json(self):
         """Canonical one-line JSON form (JSONL export + hashing)."""
-        return json.dumps(self.to_dict(), separators=(",", ":"),
-                          default=_plain)
+        return _encode(self.to_dict())
 
     @classmethod
     def from_dict(cls, d):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro._units import MB, MS
-from repro.errors import EBUSY
+from repro.errors import is_ebusy
 from repro.extensions import ManagedRuntime, MittGc, MittVmm, Vmm
 
 
@@ -51,7 +51,7 @@ def test_mittvmm_rejects_long_parks(sim):
     mitt = MittVmm(vmm)
     ev = mitt.deliver(2, deadline_us=20 * MS)
     sim.run()
-    assert ev.value is EBUSY
+    assert is_ebusy(ev.value)
     assert mitt.rejected == 1
 
 
@@ -60,7 +60,7 @@ def test_mittvmm_accepts_running_vm(sim):
     mitt = MittVmm(vmm)
     ev = mitt.deliver(0, deadline_us=20 * MS)
     sim.run()
-    assert ev.value is not EBUSY
+    assert not is_ebusy(ev.value)
     assert mitt.admitted == 1
 
 
@@ -76,7 +76,7 @@ def test_mittvmm_cuts_the_park_tail(sim):
             vm = rng.randrange(3)
             start = sim.now
             result = yield mitt.deliver(vm, deadline_us=deadline)
-            if result is EBUSY:
+            if is_ebusy(result):
                 # failover: the replica's VM on another machine is
                 # running with probability ~1; model as a fast retry.
                 yield 300.0
@@ -145,7 +145,7 @@ def test_mittgc_rejects_during_pause(sim):
     runtime.allocate(1 * MB)  # triggers the pause
     ev = mitt.allocate(1024, deadline_us=5 * MS)
     sim.run()
-    assert ev.value is EBUSY
+    assert is_ebusy(ev.value)
 
 
 def test_mittgc_predicts_imminent_collection(sim):
@@ -157,7 +157,7 @@ def test_mittgc_predicts_imminent_collection(sim):
     assert stall >= runtime.min_pause_us
     ev = mitt.allocate(1 * MB, deadline_us=5 * MS, work_us=10_000.0)
     sim.run()
-    assert ev.value is EBUSY
+    assert is_ebusy(ev.value)
 
 
 def test_mittgc_accepts_with_headroom(sim):
@@ -165,4 +165,4 @@ def test_mittgc_accepts_with_headroom(sim):
     mitt = MittGc(runtime)
     ev = mitt.allocate(1024, deadline_us=5 * MS)
     sim.run()
-    assert ev.value is not EBUSY
+    assert not is_ebusy(ev.value)

@@ -285,3 +285,117 @@ def test_open_trace_plain_passthrough(tmp_path):
     assert path.read_bytes() == b"hello\n"
     with open_trace(path) as fh:
         assert fh.read() == "hello\n"
+
+
+# -- the hashed line is the exported line ------------------------------------
+def _fig3(recorder, seed=7):
+    """Record the fig3 replay slice (it runs its own simulator clock)."""
+    from repro.experiments.fig3 import replay_scenario
+    replay_scenario(Simulator(seed=seed, recorder=recorder))
+    return recorder
+
+
+def _blake(data):
+    import hashlib
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+def test_digest_is_blake2b_of_the_plain_export(tmp_path):
+    rec = _fig3(TraceRecorder())
+    path = tmp_path / "trace.jsonl"
+    rec.write_jsonl(path)
+    assert rec.trace_digest() == _blake(path.read_bytes())
+
+
+def test_digest_pinned_on_fig3_seed_7():
+    """Both digests of the fig3 slice as the eager per-record encoder
+    produced them: lazy folding and the prebuilt encoders keep the
+    bytes."""
+    rec = _fig3(TraceRecorder())
+    assert rec.count == 714
+    assert rec.trace_digest() == "673e428320d2b86662323e9c087f921e"
+    assert rec.canonical_digest() == "7acc3e812c5242c5ad45d50e4fcbb0a5"
+
+
+def test_kept_and_unkept_recorders_agree():
+    eager = _fig3(TraceRecorder(keep_events=False))
+    lazy = _fig3(TraceRecorder())
+    assert eager.count == lazy.count > 0
+    assert lazy.trace_digest() == eager.trace_digest()
+
+
+@pytest.mark.parametrize("batch", [None, 7])
+def test_mid_run_digest_matches_eager(monkeypatch, tmp_path, batch):
+    """A digest taken mid-run leaves a watermark; later digests and
+    exports fold only what lies past it, also when it falls inside a
+    batch."""
+    from repro.obs import bus
+    if batch is not None:
+        monkeypatch.setattr(bus, "_BATCH", batch)
+    events = _fig3(TraceRecorder()).events
+    split = len(events) // 2 + 3
+    eager, lazy = TraceRecorder(keep_events=False), TraceRecorder()
+    for ev in events[:split]:
+        eager.record(ev)
+        lazy.record(ev)
+    mid = lazy.trace_digest()
+    assert mid == eager.trace_digest()
+    for ev in events[split:]:
+        eager.record(ev)
+        lazy.record(ev)
+    # The export runs over the watermark before any digest moves it.
+    path = tmp_path / "trace.jsonl"
+    lazy.write_jsonl(path)
+    assert lazy.trace_digest() == eager.trace_digest() == \
+        _blake(path.read_bytes()) != mid
+
+
+def test_export_then_digest_encodes_each_event_once(monkeypatch, tmp_path):
+    rec = _fig3(TraceRecorder())
+    encoded = []
+    to_json = TraceEvent.to_json
+    monkeypatch.setattr(TraceEvent, "to_json",
+                        lambda ev: encoded.append(ev) or to_json(ev))
+    rec.write_jsonl(tmp_path / "trace.jsonl")
+    rec.trace_digest()
+    rec.trace_digest()
+    assert len(encoded) == rec.count
+
+
+def test_repeated_exports_leave_the_digest_alone(tmp_path):
+    eager = _fig3(TraceRecorder(keep_events=False))
+    rec = _fig3(TraceRecorder())
+    rec.write_jsonl(tmp_path / "a.jsonl")
+    rec.write_jsonl(tmp_path / "b.jsonl")
+    assert rec.trace_digest() == rec.trace_digest() == eager.trace_digest()
+    assert (tmp_path / "a.jsonl").read_bytes() == \
+        (tmp_path / "b.jsonl").read_bytes()
+
+
+def test_gzip_export_decompresses_to_the_plain_export(tmp_path):
+    import gzip
+    rec = _fig3(TraceRecorder())
+    rec.write_jsonl(tmp_path / "t.jsonl.gz")
+    rec.write_jsonl(tmp_path / "t.jsonl")
+    assert gzip.decompress((tmp_path / "t.jsonl.gz").read_bytes()) == \
+        (tmp_path / "t.jsonl").read_bytes()
+
+
+def test_same_seed_gzip_exports_are_byte_identical(tmp_path):
+    for name in ("a", "b"):
+        _fig3(TraceRecorder()).write_jsonl(tmp_path / f"{name}.jsonl.gz")
+    assert (tmp_path / "a.jsonl.gz").read_bytes() == \
+        (tmp_path / "b.jsonl.gz").read_bytes()
+
+
+def test_metered_recorder_folds_every_event():
+    from repro.obs.registry import MeteredRecorder, MetricsRegistry
+    plain = _fig3(TraceRecorder())
+    metered = _fig3(MeteredRecorder(MetricsRegistry()))
+    counters = metered.registry.snapshot()["counters"]
+    folded = {name[len("events."):]: value
+              for name, value in counters.items()
+              if name.startswith("events.")}
+    assert folded == plain.topic_counts()
+    assert sum(folded.values()) == metered.count == plain.count
+    assert metered.trace_digest() == plain.trace_digest()
