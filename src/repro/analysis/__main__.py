@@ -1,22 +1,15 @@
-"""CLI: ``python -m repro.analysis <lint|isolation|races|rules> ...``.
+"""CLI: ``python -m repro.analysis <lint|races|rules> ...``.
 
 * ``lint [paths...] [--format human|json|sarif] [--jobs N]
   [--baseline FILE | --write-baseline FILE]`` — the static linter:
   per-file rules DET001-DET010/DET016 plus the whole-program passes
-  DET011-DET015 (event flow, effects), DET017-DET021 (shard isolation)
-  and DETW01 (dead topics).
-* ``isolation [paths...] [--manifest FILE] [--max-seconds S]`` — the
-  shard-isolation analyzer alone: runs only DET017-DET021 and can emit
-  the machine-readable shard manifest (per-domain class lists +
-  sanctioned cross-domain edges with minimum latencies) that the
-  sharded-cluster runner consumes as its partition plan.
+  DET011-DET015 (event flow, effects) and DETW01 (dead topics).
 * ``races --scenario fig3 --perturbations 8`` — the dynamic tie-order
   perturbation harness over a registered scenario hook.
 * ``rules`` — list rule IDs and what they check.
 """
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -40,48 +33,25 @@ def main(argv=None):
         description="Determinism analysis for the MittOS reproduction")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_lint_options(cmd, jobs_help):
-        cmd.add_argument("paths", nargs="*", default=None,
-                         help="files or directories (default: "
-                              + " ".join(DEFAULT_LINT_PATHS) + ")")
-        cmd.add_argument("--format", choices=("human", "json", "sarif"),
-                         default="human")
-        cmd.add_argument("--jobs", type=int, default=None, metavar="N",
-                         help=jobs_help)
-        cmd.add_argument("--baseline", metavar="FILE",
-                         help="fail only on findings not recorded in this "
-                              "baseline file (see --write-baseline)")
-        cmd.add_argument("--write-baseline", metavar="FILE",
-                         help="record the current findings as the accepted "
-                              "baseline and exit 0")
-
     lint = sub.add_parser("lint", help="run the determinism linter")
-    add_lint_options(
-        lint, "worker processes (default: cpu count, capped at 8); "
-              "fans out one task per file plus one per whole-program "
-              "pass")
+    lint.add_argument("paths", nargs="*", default=None,
+                      help="files or directories (default: "
+                           + " ".join(DEFAULT_LINT_PATHS) + ")")
+    lint.add_argument("--format", choices=("human", "json", "sarif"),
+                      default="human")
+    lint.add_argument("--jobs", type=int, default=None, metavar="N",
+                      help="worker processes (default: cpu count, capped "
+                           "at 8); fans out one task per file plus one "
+                           "per whole-program pass")
+    lint.add_argument("--baseline", metavar="FILE",
+                      help="fail only on findings not recorded in this "
+                           "baseline file (see --write-baseline)")
+    lint.add_argument("--write-baseline", metavar="FILE",
+                      help="record the current findings as the accepted "
+                           "baseline and exit 0")
     lint.add_argument("--rules", metavar="IDS",
                       help="comma-separated rule IDs to run "
                            "(default: all)")
-
-    iso = sub.add_parser(
-        "isolation",
-        help="shard-isolation analyzer: ownership inference + "
-             "boundary-crossing rules DET017-DET021, with an optional "
-             "shard-manifest export")
-    add_lint_options(iso, "worker processes (default: 1 — the pass is "
-                          "indivisible, parallelism only helps when "
-                          "combined with other rule groups)")
-    iso.add_argument("--manifest", metavar="FILE",
-                     help="write the shard manifest (domains, classes, "
-                          "sanctioned edges, per-edge minimum latency) "
-                          "as JSON")
-    iso.add_argument("--max-seconds", type=float, default=None,
-                     metavar="S",
-                     help="fail (exit 3) if the analysis takes longer "
-                          "than this wall-clock budget (CI guard so the "
-                          "fixpoint cannot quietly become the slowest "
-                          "job)")
 
     races = sub.add_parser(
         "races", help="tie-order perturbation harness: re-run a scenario "
@@ -109,9 +79,6 @@ def main(argv=None):
     if args.command == "races":
         return _races(args, parser)
 
-    if args.command == "isolation":
-        return _isolation(args, parser)
-
     rules = None
     if args.rules:
         rules = {r.strip().upper() for r in args.rules.split(",")}
@@ -121,24 +88,20 @@ def main(argv=None):
     return _lint(args, parser, rules=rules)
 
 
-def _resolve_paths(args, parser):
+def _lint(args, parser, rules=None):
     if args.paths:
         missing = [p for p in args.paths if not Path(p).exists()]
         if missing:
             parser.error(
                 f"no such file or directory: {', '.join(missing)}")
-        return args.paths
-    paths = [p for p in DEFAULT_LINT_PATHS if Path(p).exists()]
-    if not paths:
-        parser.error("none of the default lint paths exist here; "
-                     "pass explicit paths")
-    return paths
-
-
-def _lint(args, parser, rules=None, default_jobs=None):
-    paths = _resolve_paths(args, parser)
-    jobs = args.jobs if args.jobs is not None else default_jobs \
-        if default_jobs is not None else min(os.cpu_count() or 1, 8)
+        paths = args.paths
+    else:
+        paths = [p for p in DEFAULT_LINT_PATHS if Path(p).exists()]
+        if not paths:
+            parser.error("none of the default lint paths exist here; "
+                         "pass explicit paths")
+    jobs = args.jobs if args.jobs is not None \
+        else min(os.cpu_count() or 1, 8)
     if jobs < 1:
         parser.error("--jobs must be >= 1")
     findings = lint_paths_program(paths, rules=rules, jobs=jobs)
@@ -155,39 +118,6 @@ def _lint(args, parser, rules=None, default_jobs=None):
     if any(f.rule == "DET000" for f in findings):
         return 2
     return 1 if findings else 0
-
-
-def _isolation(args, parser):
-    """The shard-isolation analyzer: DET017-DET021 + shard manifest."""
-    import time
-    from repro.analysis.isolation import ISOLATION_RULES, build_manifest
-    from repro.analysis.linter import ProgramFile, iter_python_files
-
-    # Wall-clock budget guard for CI — host time is legitimate here:
-    # this measures the analyzer itself, not simulated behavior.
-    # repro: allow[DET002] CLI wall-clock budget for the analyzer process
-    started = time.monotonic()
-    code = _lint(args, parser, rules=set(ISOLATION_RULES), default_jobs=1)
-    if args.manifest:
-        paths = _resolve_paths(args, parser)
-        program = [ProgramFile.load(p) for p in iter_python_files(paths)]
-        manifest = build_manifest(program)
-        Path(args.manifest).write_text(
-            json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-        print(f"shard manifest: {len(manifest['domains'])} domain(s), "
-              f"{len(manifest['edges'])} sanctioned edge(s) "
-              f"-> {args.manifest}", file=sys.stderr)
-    if args.max_seconds is not None:
-        # repro: allow[DET002] CLI wall-clock budget for the analyzer
-        elapsed = time.monotonic() - started
-        if elapsed > args.max_seconds:
-            print(f"isolation: wall-clock budget exceeded: "
-                  f"{elapsed:.1f}s > {args.max_seconds:.1f}s",
-                  file=sys.stderr)
-            return 3
-        print(f"isolation: {elapsed:.1f}s (budget "
-              f"{args.max_seconds:.1f}s)", file=sys.stderr)
-    return code
 
 
 def _races(args, parser):

@@ -4,16 +4,14 @@ Two layers of rules run over every lint invocation:
 
 * **per-file** rules (``DET001``-``DET010``, ``DET016``) — one AST
   checker per file, embarrassingly parallel;
-* **whole-program** rules (``DET011``-``DET015``, ``DET017``-``DET021``,
-  ``DETW01``) — the event-flow contract pass
-  (:mod:`repro.analysis.eventflow`), the interprocedural effect pass
-  (:mod:`repro.analysis.effects`), and the shard-isolation pass
-  (:mod:`repro.analysis.isolation`), each of which needs every file's
-  AST at once.
+* **whole-program** rules (``DET011``-``DET015``, ``DETW01``) — the
+  event-flow contract pass (:mod:`repro.analysis.eventflow`) and the
+  interprocedural effect pass (:mod:`repro.analysis.effects`), each of
+  which needs every file's AST at once.
 
 ``jobs=N`` fans *both* layers out across a process pool: each per-file
 check is one task, and each whole-program pass is one task (a pass is
-indivisible, but the three passes are independent of each other).  The
+indivisible, but the two passes are independent of each other).  The
 merged output is sorted, so results are byte-identical at any job
 count.
 
@@ -37,8 +35,6 @@ from repro.analysis.rules import CHECKERS, RULES, ModuleContext
 PROGRAM_PASS_RULES = {
     "eventflow": frozenset({"DET011", "DET012", "DET013", "DETW01"}),
     "effects": frozenset({"DET014", "DET015"}),
-    "isolation": frozenset({"DET017", "DET018", "DET019", "DET020",
-                            "DET021"}),
 }
 PROGRAM_RULES = frozenset().union(*PROGRAM_PASS_RULES.values())
 
@@ -115,14 +111,13 @@ def _file_suppressions(source):
 class ProgramFile:
     """One loaded + parsed file of the linted program."""
 
-    __slots__ = ("path", "path_parts", "source", "tree", "error",
-                 "allowed", "file_allowed")
+    __slots__ = ("path", "path_parts", "tree", "error", "allowed",
+                 "file_allowed")
 
     def __init__(self, source, path):
         path = Path(path)
         self.path = str(path)
         self.path_parts = path.parts
-        self.source = source
         self.allowed = _suppressions(source)
         self.file_allowed = _file_suppressions(source)
         try:
@@ -154,7 +149,7 @@ def _filter(pf, raw, rules):
 
 
 def _per_file_findings(pf, rules=None):
-    """DET000-DET010 over one file (suppressions applied)."""
+    """The per-file rules over one file (suppressions applied)."""
     if pf.error is not None:
         return [pf.error]
     ctx = ModuleContext(pf.path_parts, pf.tree)
@@ -185,9 +180,6 @@ def _run_program_pass(pass_name, program, want):
         if "DET015" in want:
             raw.extend(check_det015(analysis))
         return raw
-    if pass_name == "isolation":
-        from repro.analysis.isolation import check_isolation
-        return check_isolation(program)
     raise ValueError(f"unknown program pass: {pass_name}")
 
 
@@ -276,7 +268,7 @@ def lint_paths_program(paths, rules=None, jobs=1):
 
     ``jobs > 1`` fans out over a process pool: one task per file for the
     per-file rules plus one task per whole-program pass (eventflow /
-    effects / isolation — each pass needs every AST, but the passes are
+    effects — each pass needs every AST, but the passes are
     independent of each other).  Program passes are queued first so the
     slowest tasks start immediately.  The merged output is sorted, so it
     is byte-identical at any job count.

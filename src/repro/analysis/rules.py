@@ -154,22 +154,6 @@ RULES = {r.id: r for r in [
     Rule("DET016", "hot-path-closure",
          "lambda allocated inside a sim/ function body (per-event closure "
          "churn on the kernel hot path)"),
-    # Shard-isolation rules (repro.analysis.isolation): whole-program
-    # ownership inference proving state is partitionable at the shard
-    # boundary the sharded-cluster runner needs.
-    Rule("DET017", "cross-shard-mutation",
-         "non-wiring code mutates state owned by another shard domain "
-         "(or frozen-declared shared state)"),
-    Rule("DET018", "unsanctioned-foreign-read",
-         "node-domain IO path reads cluster-shared mutable state without "
-         "a sanctioned boundary"),
-    Rule("DET019", "foreign-domain-rng-stream",
-         "drawing an RNG stream owned by another shard domain"),
-    Rule("DET020", "cross-timeline-callback",
-         "scheduling a callback bound to another shard domain's object"),
-    Rule("DET021", "multi-domain-module-global",
-         "mutable module global in a runtime-domain file with no "
-         "ownership declaration"),
     # Advisory (warning-level) whole-program findings.
     Rule("DETW01", "dead-topic",
          "topic declared in repro.obs.schema but never emitted in the "

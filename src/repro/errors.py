@@ -2,11 +2,10 @@
 
 The paper's central mechanism is the kernel returning ``EBUSY`` from
 ``read(..., slo)`` when the deadline SLO cannot be met.  We model errno-style
-results with small falsy objects.  An EBUSY comes either as the ``EBUSY``
-sentinel or as a rich :class:`EBusy` instance (``OS.read`` returns these),
-so call sites write ``if is_ebusy(result): failover()``, the analogue of the
-C code in Figure 2; an identity check against ``EBUSY`` misses rich
-rejections.  ``EIO`` has one form, so ``result is EIO`` is exact.
+results with small falsy objects.  Every EBUSY is an :class:`EBusy`
+instance, so call sites write ``if is_ebusy(result): failover()``, the
+analogue of the C code in Figure 2.  ``EIO`` is a singleton sentinel, so
+``result is EIO`` is exact.
 """
 
 
@@ -25,30 +24,23 @@ class _Errno:
         return False
 
 
-#: The fast-rejection signal: the OS predicts the IO cannot meet its deadline.
-EBUSY = _Errno("EBUSY")
-
 #: Returned by strategies when every replica failed (paper: "users receive
 #: read errors even though less-busy replicas are available", Table 1).
 EIO = _Errno("EIO")
 
 
 class EBusy:
-    """A *rich* EBUSY response (§8.1's "richer interface" extension).
+    """The fast-rejection signal: the OS predicts the IO cannot meet its
+    deadline.  Falsy; means "rejected, fail over now".
 
-    Semantically identical to the ``EBUSY`` sentinel (falsy, means "rejected,
-    fail over now"), but carries the predicted wait of the rejecting node on
-    the response itself.  Each rejection mints a fresh instance, so the hint
-    is per-request — concurrent requests can no longer overwrite each
-    other's wait (the race a shared ``predictor.last_rejected_wait`` had).
-
-    Call sites must use :func:`is_ebusy`, which accepts both the plain
-    sentinel and rich instances.
+    A rejection may carry the predicted wait of the rejecting node (§8.1's
+    "richer interface" extension).  Each rejection mints a fresh instance,
+    so the hint is per-request — concurrent requests can no longer
+    overwrite each other's wait (the race a shared
+    ``predictor.last_rejected_wait`` had).  Test with :func:`is_ebusy`.
     """
 
     __slots__ = ("predicted_wait",)
-
-    name = "EBUSY"
 
     def __init__(self, predicted_wait=None):
         self.predicted_wait = predicted_wait
@@ -63,8 +55,8 @@ class EBusy:
 
 
 def is_ebusy(result):
-    """True for the ``EBUSY`` sentinel and rich :class:`EBusy` responses."""
-    return result is EBUSY or isinstance(result, EBusy)
+    """True for an :class:`EBusy` rejection."""
+    return isinstance(result, EBusy)
 
 
 class SimulationError(Exception):

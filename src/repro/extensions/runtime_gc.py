@@ -17,7 +17,7 @@ easily throw).
 """
 
 from repro._units import MS
-from repro.errors import EBUSY
+from repro.errors import EBusy
 
 
 class ManagedRuntime:
@@ -164,7 +164,7 @@ class MittGc:
                     # the request is served elsewhere.
                     self.runtime.collect_now()
                 ev = self.runtime.sim.event()
-                self.runtime.sim.schedule(2.0, ev.try_succeed, EBUSY)
+                self.runtime.sim.schedule(2.0, ev.try_succeed, EBusy())
                 return ev
         self.admitted += 1
         return self.runtime.allocate(nbytes, work_us=work_us)

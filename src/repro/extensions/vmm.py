@@ -14,7 +14,7 @@ literally owns the schedule) and rejects when it exceeds the deadline.
 """
 
 from repro._units import MS
-from repro.errors import EBUSY
+from repro.errors import EBusy
 
 
 class Vmm:
@@ -89,7 +89,7 @@ class MittVmm:
             if park + service_us > deadline_us + self.hop_allowance_us:
                 self.rejected += 1
                 ev = self.vmm.sim.event()
-                self.vmm.sim.schedule(2.0, ev.try_succeed, EBUSY)
+                self.vmm.sim.schedule(2.0, ev.try_succeed, EBusy())
                 return ev
         self.admitted += 1
         return self.vmm.deliver(vm, service_us=service_us)

@@ -199,7 +199,6 @@ class FaultSpec:
 
 
 #: FaultSpec member-tuple field -> element class (JSON round-trip map).
-# repro: owner[cluster:frozen] import-time table, read-only afterwards
 _FAULT_MEMBERS = {
     "crashes": CrashWindow,
     "fail_slow": FailSlow,

@@ -11,7 +11,7 @@ will actually serve it — the composition the paper demonstrates by running
 all three microbenchmark noises at once.
 """
 
-from repro.errors import EBUSY, is_ebusy
+from repro.errors import EBusy, is_ebusy
 from repro.kernel.syscall import ReadResult
 
 
@@ -74,5 +74,5 @@ class TieredStack:
                 size):
             self.ebusy_returned += 1
             self.page_cache.note_ebusy_swapin(file_id, offset, size)
-            return EBUSY
+            return EBusy()
         return True

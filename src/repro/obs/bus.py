@@ -68,9 +68,6 @@ def _encode_lines(events):
     return "\n".join(lines).encode()
 
 # -- session defaults (what `--trace` / `--paranoid` install) ----------------
-# Host-session configuration, not simulated state: every shard process
-# installs its own copy at harness setup before any simulator exists.
-# repro: owner[sim-kernel] per-process session defaults
 _defaults = {"recorder": None, "paranoid": False}
 
 

@@ -128,6 +128,8 @@ class MetricsRegistry:
         self._gauges = {}
         self._histograms = {}
         self._series = {}
+        #: topic -> its ``events.<topic>`` counter, resolved once per topic.
+        self._topic_counters = {}
         self._interval = sample_interval_us
         self._armed = False
         self._next_tick = sample_interval_us
@@ -206,7 +208,11 @@ class MetricsRegistry:
                 self._next_tick += self._interval
         topic = event.topic
         fields = event.fields
-        self.counter(f"events.{topic}").inc()
+        counter = self._topic_counters.get(topic)
+        if counter is None:
+            counter = self._topic_counters[topic] = \
+                self.counter(f"events.{topic}")
+        counter.value += 1
         if topic == IO_SUBMIT:
             dev = _dev(fields)
             depth = self._outstanding.get(dev, 0) + 1

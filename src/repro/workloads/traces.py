@@ -40,7 +40,6 @@ class TraceSpec:
         self.sequential_fraction = sequential_fraction
 
 
-# repro: owner[cluster:frozen] import-time table, read-only afterwards
 TRACE_FAMILIES = {
     "DAPPS": TraceSpec("DAPPS", iops=120, read_fraction=0.56,
                        sizes=(4 * KB, 16 * KB, 64 * KB),

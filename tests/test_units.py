@@ -25,9 +25,8 @@ def test_ms_conversions_roundtrip():
 
 
 def test_errno_sentinels():
-    from repro.errors import EBUSY, EIO
-    assert not EBUSY
+    from repro.errors import EIO, EBusy
     assert not EIO
-    assert EBUSY is not EIO
-    assert repr(EBUSY) == "EBUSY"
     assert repr(EIO) == "EIO"
+    assert not EBusy()
+    assert repr(EBusy()) == "EBUSY"
